@@ -148,14 +148,6 @@ func GradeLaneParallel(b *testing.B) {
 	grade(b, runtime.GOMAXPROCS(0), coverage.EngineAuto)
 }
 
-// GradeLaneInterpreted measures the lane engine with Options.Replay
-// pinned to the per-op interpreted path — the reference the compiled
-// kernels are validated against. Its ratio to GradeLane is the
-// compiled-replay speedup (EXPERIMENTS.md X12).
-func GradeLaneInterpreted(b *testing.B) {
-	gradeOpts(b, coverage.Options{Size: 16, Workers: 1, Replay: coverage.ReplayInterpreted})
-}
-
 // GradeSharded measures the 4-shard sweep path end to end: grade four
 // universe slices, merge their states, rebuild the report. Tracked
 // against GradeLane (the same workload unsharded), it pins the
@@ -200,17 +192,13 @@ func GradeSharded(b *testing.B) {
 // GradeLaneMetricsOn measures the lane engine with the obs registry
 // enabled. Tracked against GradeLane, it pins the <2% observability
 // overhead budget on the batched path (DESIGN.md "Observability").
-// It also asserts the compiled-replay counters: the budget measurement
-// is only meaningful if the metered runs actually compiled the stream
-// and dispatched specialized kernels rather than silently degrading to
-// the interpreted or general path.
+// It also asserts the kernel counter: the budget measurement is only
+// meaningful if the metered runs actually replayed batches through the
+// specialized kernels.
 func GradeLaneMetricsOn(b *testing.B) {
 	reg := obs.Enable()
 	defer obs.Disable()
 	grade(b, 1, coverage.EngineAuto)
-	if reg.Counter("coverage.compiled_streams").Value() == 0 {
-		b.Fatal("metrics-on grade never took the compiled replay path")
-	}
 	if reg.Counter("coverage.fast_kernel_batches").Value() == 0 {
 		b.Fatal("metrics-on grade replayed no batch through a specialized kernel")
 	}
@@ -243,7 +231,6 @@ func Suite() []Case {
 		{Name: "BenchmarkGradeSerial", F: GradeSerial},
 		{Name: "BenchmarkGradeParallel", Serial: "BenchmarkGradeSerial", F: GradeParallel},
 		{Name: "BenchmarkGradeLane", Serial: "BenchmarkGradeSerial", F: GradeLane},
-		{Name: "BenchmarkGradeLaneInterpreted", Serial: "BenchmarkGradeSerial", F: GradeLaneInterpreted},
 		{Name: "BenchmarkGradeLaneParallel", Serial: "BenchmarkGradeSerial", F: GradeLaneParallel},
 		{Name: "BenchmarkGradeLaneMetricsOn", Serial: "BenchmarkGradeLane", F: GradeLaneMetricsOn},
 		{Name: "BenchmarkGradeSharded", Serial: "BenchmarkGradeLane", F: GradeSharded},

@@ -5,116 +5,26 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/artifact"
 	"repro/internal/faults"
-	"repro/internal/march"
-	"repro/internal/memory"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 )
 
 // The lane-parallel grading engine (PPSFP applied to the behavioural
-// memory model). All four architectures emit the same canonical
-// operation stream on a fault-free memory, and with MaxFails:1 their
-// control flow is data-independent up to the first failing read — a
-// faulty run is a prefix of the clean run's stream ending at that read.
-// Detection is therefore equivalent to "any read mismatches its
-// expected value when the full clean stream is replayed". That lets
-// one replay of the captured stream grade a whole batch at once: lane 0
-// of a faults.LaneInjected is the good machine and logical lanes
-// 1..Lanes-1 each carry one fault; every read compares all lanes
-// against the expected value in parallel and accumulates a per-plane
-// fail mask.
-
-// captureStream builds the architecture's runner, executes it once over
-// a Recorder-wrapped fault-free memory and returns the captured
-// operation stream. ok reports whether the capture matches the
-// canonical reference stream (march.FullStream on the same geometry) —
-// the guard the batched engine requires; a divergent capture (e.g. a
-// decomposed prog-FSM program) returns ok=false so the caller falls
-// back to the scalar oracle.
-func captureStream(alg march.Algorithm, arch Architecture, opts Options) ([]march.StreamOp, bool, error) {
-	run, err := buildRunner(alg, arch, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	rec := &march.Recorder{Mem: memory.NewSRAM(opts.Size, opts.Width, opts.Ports)}
-	detected, err := run(rec)
-	if err != nil {
-		return nil, false, fmt.Errorf("coverage: %s on %s stream capture: %w", alg.Name, arch, err)
-	}
-	if detected {
-		return nil, false, fmt.Errorf("coverage: %s on %s detected a fail on fault-free memory", alg.Name, arch)
-	}
-	want := march.FullStream(alg, opts.Size, opts.Width, opts.Ports, opts.Width == 1)
-	if !streamsEqual(rec.Ops, want) {
-		return nil, false, nil
-	}
-	return rec.Ops, true, nil
-}
-
-// Captured streams (and their verification verdicts, including negative
-// ones) are deterministic per workload, so they are content-addressed
-// in the artifact cache and shared across Grade calls and service
-// requests: matrix sweeps and benchmark loops re-grade the same
-// (algorithm, architecture, geometry) many times, and re-running the
-// controller plus re-expanding the reference stream dominated the
-// per-call allocation budget. Entries are immutable once stored
-// (replay only reads the stream).
-type streamKey struct {
-	algFP              uint64
-	arch               Architecture
-	size, width, ports int
-}
-
-type streamEntry struct {
-	ops []march.StreamOp
-	ok  bool
-}
-
-var streamCache = artifact.New[streamKey, streamEntry]("stream", 0)
-
-// cachedCaptureStream is captureStream memoised on the workload key.
-// Errors are never cached (they may be transient panics of a chaos
-// hook's making — the artifact cache drops failed builds); verification
-// verdicts are, so a decomposed program pays its capture exactly once.
-func cachedCaptureStream(alg march.Algorithm, arch Architecture, opts Options) ([]march.StreamOp, bool, error) {
-	key := streamKey{
-		algFP: march.Fingerprint(alg), arch: arch,
-		size: opts.Size, width: opts.Width, ports: opts.Ports,
-	}
-	e, err := streamCache.Get(key, func() (streamEntry, error) {
-		ops, ok, err := captureStream(alg, arch, opts)
-		if err != nil {
-			return streamEntry{}, err
-		}
-		return streamEntry{ops: ops, ok: ok}, nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return e.ops, e.ok, nil
-}
-
-func streamsEqual(a, b []march.StreamOp) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// laneScratch is one grading worker's reusable state: the interpreted
-// read plane buffer and the lazily built scalar-retry runner. The lane
-// arenas themselves live in the batch-affine pool below.
-type laneScratch struct {
-	reads []uint64
-	retry runner
-}
+// memory model). Its precondition: in every executor — march.Run and
+// the microcode, prog-FSM and hardwired controllers — read data reaches
+// only the response analyzer, which compares the whole word against the
+// expected value, and grading runs with MaxFails:1. Up to its first
+// miscompare a faulty run therefore sees exactly the clean run's read
+// values and issues exactly the clean run's accesses; at that
+// miscompare it stops, detected. Detection is thus equivalent to "some
+// read mismatches the clean run's value when the architecture's own
+// clean stream is replayed" — whether or not that stream equals the
+// reference march stream. That lets one replay of the captured stream
+// grade a whole batch at once: lane 0 of a faults.LaneInjected is the
+// good machine and logical lanes 1..Lanes-1 each carry one fault; every
+// read compares all lanes against the expected value in parallel and
+// accumulates a per-plane fail mask.
 
 // Arenas are recycled across Grade calls through a bounded free-list
 // keyed by geometry and plane capacity: a warm arena's fault tables
@@ -220,39 +130,23 @@ func arenaPoolStats() (keys, arenas int) {
 	return len(arenaPool), arenaN
 }
 
-// gradeBatched grades the universe by replaying the captured stream
-// over kind-partitioned lane batches of at most opts.Lanes-1 faults
-// (see buildPartition). Verdicts commit through each batch's universe
-// indices, so the Report — including the Missed ordering — is
-// byte-identical to the scalar oracle at any worker count, lane width
-// or replay mode: partitioning reorders grading, never the
-// universe-ordered verdict assembly. By default the stream is lowered
-// to a compiled µop program replayed through capability-gated kernels
-// (faults.Replay); Options.Replay can pin the interpreted per-op path,
-// which is also the automatic fallback if compilation fails. A panic
+// gradeBatched grades the universe by replaying the architecture's
+// compiled capture over kind-partitioned lane batches of at most
+// opts.Lanes-1 faults (see buildPartition), each through the
+// capability-gated kernel its class admits (faults.Replay). Verdicts
+// commit through each batch's universe indices, so the Report —
+// including the Missed ordering — is byte-identical to the scalar
+// oracle at any worker count or lane width: partitioning reorders
+// grading, never the universe-ordered verdict assembly. A panic
 // anywhere in a batch (hook, injector or replay) fails only that
 // batch: each of its faults is retried individually on the scalar
 // oracle and quarantined if it panics again. Cancellation stops the
 // claim loop at the next batch boundary.
-func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
+func (r *gradeRun) gradeBatched(cs *faults.CompiledStream) error {
 	universe := r.universe
 	maxPlanes := r.opts.Lanes / 64
 	plan := cachedPartition(r.opts, universe)
-	var cs *faults.CompiledStream
 	reg := obs.Active()
-	if r.opts.Replay == ReplayCompiled {
-		var err error
-		if cs, err = cachedCompiledStream(r.alg, r.opts, stream); err != nil {
-			// A verified capture that fails µop validation should be
-			// impossible; degrade to the interpreted replay rather than
-			// failing the run.
-			reg.Counter("coverage.compile_fallbacks").Add(1)
-			cs = nil
-		}
-	}
-	if cs != nil {
-		reg.Counter("coverage.compiled_streams").Add(1)
-	}
 	batches := len(plan)
 	workers := r.opts.Workers
 	if workers > batches {
@@ -261,6 +155,10 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 	reg.Gauge("coverage.workers").Set(int64(workers))
 	reg.Gauge("coverage.lane_width").Set(int64(r.opts.Lanes))
 	mBatches := reg.Counter("coverage.batches_replayed")
+	// Replay runs every batch through a specialized kernel (it rejects
+	// mixed-capability batches, which buildPartition never forms), so
+	// fast_kernel_batches tracks batches_replayed; both stay for the
+	// readers that report their ratio.
 	mFastKernels := reg.Counter("coverage.fast_kernel_batches")
 	mLanes := reg.Span("coverage.batch_lanes")
 	mBatch := reg.Span("coverage.batch_ns")
@@ -282,7 +180,7 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 	// the caller's scalar retry. Arenas are fetched batch-affine from
 	// the pool and returned unless the batch panicked (the arena may be
 	// mid-mutation).
-	gradeOne := func(b int, sc *laneScratch) error {
+	gradeOne := func(b int) error {
 		bt := &plan[b]
 		pending := pendingIn(bt)
 		if pending == 0 {
@@ -291,7 +189,6 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 		}
 		t0 := mBatch.Start()
 		var fail [faults.MaxPlanes]uint64
-		kern := faults.KernelGeneral
 		var mem *faults.LaneInjected
 		var rerr error
 		perr := resilience.Capture(func() {
@@ -307,11 +204,7 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 				mem = faults.NewLaneInjectedPlanes(r.opts.Size, r.opts.Width, r.opts.Ports, maxPlanes, nil)
 			}
 			mem.ResetPlanes(bt.faults, bt.planes)
-			if cs != nil {
-				kern, rerr = mem.Replay(cs, &fail)
-			} else {
-				fail, sc.reads, rerr = replayStream(mem, stream, sc.reads)
-			}
+			_, rerr = mem.Replay(cs, &fail)
 		})
 		if perr != nil {
 			return perr
@@ -323,16 +216,14 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 		r.commitBatch(bt.idx, &fail)
 		mBatch.ObserveSince(t0)
 		mBatches.Add(1)
-		if cs != nil && kern != faults.KernelGeneral {
-			mFastKernels.Add(1)
-		}
+		mFastKernels.Add(1)
 		mLanes.Observe(int64(len(bt.faults)))
 		mFaults.Add(int64(pending))
 		return nil
 	}
 
 	// runBatch grades one batch, degrading to per-fault scalar retries
-	// when the lane replay panics. The scalar fallback runner is per
+	// when the lane replay panics. The scalar retry runner is per
 	// worker, built lazily on first panic and rebuilt after any panic
 	// that may have corrupted it. A fault that panics in the scalar loop
 	// is itself retried once before quarantine: a wide batch can panic
@@ -340,8 +231,8 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 	// up first), so the scalar attempt may be the fault's first — the
 	// quarantine contract is two panics on the fault itself, matching
 	// scalarWorker.
-	runBatch := func(sc *laneScratch, b int) error {
-		err := gradeOne(b, sc)
+	runBatch := func(retry *runner, b int) error {
+		err := gradeOne(b)
 		if err == nil {
 			return nil
 		}
@@ -350,7 +241,7 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 		}
 		r.mRetries.Add(1)
 		rebuild := func() error {
-			sc.retry, err = buildRunnerFresh(r.alg, r.arch, r.opts)
+			*retry, err = buildRunnerFresh(r.alg, r.arch, r.opts)
 			return err
 		}
 		for _, ui := range plan[b].idx {
@@ -361,12 +252,12 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 			if r.ctx.Err() != nil {
 				return nil
 			}
-			if sc.retry == nil {
+			if *retry == nil {
 				if err := rebuild(); err != nil {
 					return err
 				}
 			}
-			d, ferr := r.scalarOne(sc.retry, i)
+			d, ferr := r.scalarOne(*retry, i)
 			if ferr != nil {
 				if _, ok := resilience.AsPanic(ferr); !ok {
 					return fmt.Errorf("coverage: %s on %s with %v: %w", r.alg.Name, r.arch, universe[i], ferr)
@@ -375,13 +266,13 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 				if err := rebuild(); err != nil {
 					return err
 				}
-				if d, ferr = r.scalarOne(sc.retry, i); ferr != nil {
+				if d, ferr = r.scalarOne(*retry, i); ferr != nil {
 					p, ok := resilience.AsPanic(ferr)
 					if !ok {
 						return fmt.Errorf("coverage: %s on %s with %v: %w", r.alg.Name, r.arch, universe[i], ferr)
 					}
 					r.quarantine(i, p)
-					sc.retry = nil
+					*retry = nil
 					continue
 				}
 			}
@@ -392,12 +283,12 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 	}
 
 	if workers <= 1 {
-		var sc laneScratch
+		var retry runner
 		for b := 0; b < batches; b++ {
 			if r.ctx.Err() != nil {
 				return nil
 			}
-			if err := runBatch(&sc, b); err != nil {
+			if err := runBatch(&retry, b); err != nil {
 				return err
 			}
 		}
@@ -416,13 +307,13 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sc laneScratch
+			var retry runner
 			for {
 				b := int(cursor.Add(1)) - 1
 				if b >= batches || failed.Load() || r.ctx.Err() != nil {
 					return
 				}
-				if err := runBatch(&sc, b); err != nil {
+				if err := runBatch(&retry, b); err != nil {
 					emu.Lock()
 					if b < errBatch {
 						errBatch, firstErr = b, err
@@ -436,58 +327,4 @@ func (r *gradeRun) gradeBatched(stream []march.StreamOp) error {
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// replayStream drives the captured stream through a lane memory and
-// returns the accumulated per-plane fail masks: bit b of fail[p] set
-// means logical lane p*64+b's value diverged from the expected
-// (fault-free) value on some read. reads is a scratch buffer threaded
-// through for reuse. The replay exits early once every occupied lane
-// has failed; lane 0 failing means the good machine diverged from the
-// recorded clean run, which would break the engine's equivalence
-// argument, so it is an error.
-//
-//mbist:hotpath
-func replayStream(mem *faults.LaneInjected, stream []march.StreamOp, reads []uint64) ([faults.MaxPlanes]uint64, []uint64, error) {
-	np := mem.Planes()
-	var occ, fail [faults.MaxPlanes]uint64
-	for p := 0; p < np; p++ {
-		occ[p] = mem.FaultMaskPlane(p)
-	}
-	for _, op := range stream {
-		switch {
-		case op.Pause:
-			mem.Pause()
-		case op.Write:
-			mem.Write(op.Port, op.Addr, op.Data)
-		default:
-			reads = mem.ReadLanes(op.Port, op.Addr, reads[:0])
-			// reads holds np planes per word bit: [bit*np+p].
-			i := 0
-			for bit := 0; i < len(reads); bit++ {
-				var exp uint64
-				if op.Data>>uint(bit)&1 == 1 {
-					exp = ^uint64(0)
-				}
-				for p := 0; p < np; p++ {
-					fail[p] |= reads[i] ^ exp
-					i++
-				}
-			}
-			if fail[0]&1 != 0 {
-				return fail, reads, fmt.Errorf("good machine (lane 0) failed at read port %d addr %d", op.Port, op.Addr)
-			}
-			done := true
-			for p := 0; p < np; p++ {
-				if fail[p]&occ[p] != occ[p] {
-					done = false
-					break
-				}
-			}
-			if done {
-				return fail, reads, nil
-			}
-		}
-	}
-	return fail, reads, nil
 }

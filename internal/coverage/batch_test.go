@@ -12,9 +12,10 @@ import (
 
 // TestBatchedEngineMatchesScalarOracle is the acceptance gate for the
 // lane-parallel engine: for every architecture and every algorithm in
-// the march library, Grade (EngineAuto) must produce a byte-identical
-// Report — including the Missed ordering — to the scalar GradeSerial
-// oracle, at worker counts 1, 2 and GOMAXPROCS (Workers: 0).
+// the march library — decomposed prog-FSM programs included — Grade
+// (EngineAuto) must produce a byte-identical Report, including the
+// Missed ordering, to the scalar GradeSerial oracle at worker counts
+// 1, 2 and GOMAXPROCS (Workers: 0).
 func TestBatchedEngineMatchesScalarOracle(t *testing.T) {
 	names := make([]string, 0, len(march.Library()))
 	for name := range march.Library() {
@@ -73,9 +74,9 @@ func TestBatchedEngineMatchesScalarOracleWordMultiport(t *testing.T) {
 }
 
 // TestBatchedEngineEngaged pins that the default Grade path actually
-// replays lane batches (rather than silently falling back) for the
-// canonical microcode configuration, that batch occupancy respects the
-// configured lane width, and that the lane_width gauge reports it.
+// replays lane batches (and grades no fault on the scalar engine) for
+// the canonical microcode configuration, that batch occupancy respects
+// the configured lane width, and that the lane_width gauge reports it.
 func TestBatchedEngineEngaged(t *testing.T) {
 	for _, lanes := range []int{0, 64, 128, 256, 512} {
 		reg := obs.Enable()
@@ -93,8 +94,8 @@ func TestBatchedEngineEngaged(t *testing.T) {
 		if batches == 0 {
 			t.Fatalf("lanes=%d: batched engine not engaged for marchc on microcode", lanes)
 		}
-		if fb := reg.Counter("coverage.stream_fallbacks").Value(); fb != 0 {
-			t.Errorf("lanes=%d: unexpected stream fallbacks: %d", lanes, fb)
+		if n, _, _, _ := reg.Span("coverage.fault_ns").Stats(); n != 0 {
+			t.Errorf("lanes=%d: %d faults graded on the scalar engine", lanes, n)
 		}
 		if lw := reg.Gauge("coverage.lane_width").Value(); int(lw) != want {
 			t.Errorf("lanes=%d: lane_width gauge %d, want %d", lanes, lw, want)
@@ -112,13 +113,9 @@ func TestBatchedEngineEngaged(t *testing.T) {
 		if graded := reg.Counter("coverage.faults_graded").Value(); int(graded) != rep.Overall.Total {
 			t.Errorf("lanes=%d: faults_graded %d, universe size %d", lanes, graded, rep.Overall.Total)
 		}
-		if cs := reg.Counter("coverage.compiled_streams").Value(); cs == 0 {
-			t.Errorf("lanes=%d: stream was not compiled to µops", lanes)
-		}
 		// Kind-partitioned batches are capability-pure, so every batch
-		// must dispatch to a specialized kernel — the general catch-all
-		// engaging here would mean the partitioner mixed mechanism
-		// classes.
+		// must dispatch to a specialized kernel — Replay refuses a batch
+		// that mixes mechanism classes.
 		if fast := reg.Counter("coverage.fast_kernel_batches").Value(); fast != batches {
 			t.Errorf("lanes=%d: %d/%d batches took a specialized kernel", lanes, fast, batches)
 		}
@@ -165,59 +162,87 @@ func TestGradeRejectsBadLaneWidth(t *testing.T) {
 	}
 }
 
-// TestStreamFallbackOnDecomposedProgram pins the automatic fallback:
-// a prog-FSM program whose realised algorithm was decomposed emits an
-// operation stream that diverges from the reference stream, so Grade
-// must take the scalar path — and still match the oracle (already
-// guaranteed by sharing the scalar engine, checked again here on one
-// instance for the fallback specifically).
-func TestStreamFallbackOnDecomposedProgram(t *testing.T) {
-	var decomposed march.Algorithm
-	found := false
+// TestDecomposedProgramsReplayBatched pins the one grading path for
+// controllers whose stream differs from the reference march stream:
+// every library algorithm the prog-FSM compiler decomposes must grade
+// on the lane engine (batches replayed, no fault on the scalar engine)
+// and still match the scalar oracle, on bit- and word-oriented,
+// single- and multiport geometries.
+func TestDecomposedProgramsReplayBatched(t *testing.T) {
+	names := make([]string, 0, len(march.Library()))
 	for name := range march.Library() {
-		alg, _ := march.ByName(name)
-		p, err := fsmbist.Compile(alg, fsmbist.CompileOpts{})
-		if err == nil && p.Decomposed {
-			decomposed, found = alg, true
-			break
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	checked := 0
+	for _, opts := range []Options{
+		{Size: 8, Width: 1},
+		{Size: 4, Width: 2, Ports: 2},
+		{Size: 64, Width: 2},
+	} {
+		copts := fsmbist.CompileOpts{WordOriented: opts.Width > 1, Multiport: opts.Ports > 1}
+		for _, name := range names {
+			alg, _ := march.ByName(name)
+			p, err := fsmbist.Compile(alg, copts)
+			if err != nil || !p.Decomposed {
+				continue
+			}
+			checked++
+			reg := obs.Enable()
+			got, err := Grade(alg, ProgFSM, opts)
+			batches := reg.Counter("coverage.batches_replayed").Value()
+			scalar, _, _, _ := reg.Span("coverage.fault_ns").Stats()
+			obs.Disable()
+			if err != nil {
+				t.Fatalf("%s on prog-fsm %dx%d/%d: %v", name, opts.Size, opts.Width, opts.Ports, err)
+			}
+			if batches == 0 || scalar != 0 {
+				t.Errorf("%s on prog-fsm %dx%d/%d: %d batches replayed, %d faults graded on the scalar engine; want >0 and 0",
+					name, opts.Size, opts.Width, opts.Ports, batches, scalar)
+			}
+			want, err := GradeSerial(alg, ProgFSM, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s on prog-fsm %dx%d/%d: batched report differs from scalar oracle:\ngot  %v\nwant %v",
+					name, opts.Size, opts.Width, opts.Ports, got, want)
+			}
 		}
 	}
-	if !found {
-		t.Skip("no library algorithm decomposes under the prog-FSM compiler")
-	}
-	reg := obs.Enable()
-	defer obs.Disable()
-	got, err := Grade(decomposed, ProgFSM, Options{Size: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fb := reg.Counter("coverage.stream_fallbacks").Value(); fb == 0 {
-		t.Fatalf("%s on prog-fsm: expected a stream-capture fallback", decomposed.Name)
-	}
-	if reg.Counter("coverage.batches_replayed").Value() != 0 {
-		t.Errorf("%s on prog-fsm: batches replayed despite fallback", decomposed.Name)
-	}
-	want, err := GradeSerial(decomposed, ProgFSM, Options{Size: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s on prog-fsm: fallback report differs from oracle", decomposed.Name)
+	if checked == 0 {
+		t.Fatal("no library algorithm decomposes under the prog-FSM compiler")
 	}
 }
 
-// TestStreamsEqual pins the guard helper.
-func TestStreamsEqual(t *testing.T) {
-	a := []march.StreamOp{{Write: true, Addr: 1, Data: 1}, {Addr: 1, Data: 1}}
-	if !streamsEqual(a, a) {
-		t.Error("identical streams compared unequal")
+// TestStreamCacheKeyedByArchitecture pins that compiled captures are
+// cached per architecture: March C++ compiles to a decomposed prog-FSM
+// program whose stream and coverage differ from the microcode
+// controller's, so grading both at one geometry in one process must
+// give each architecture its own oracle's report. Dropping the
+// architecture from the stream key would grade prog-FSM with the
+// microcode stream cached first.
+func TestStreamCacheKeyedByArchitecture(t *testing.T) {
+	alg, _ := march.ByName("marchc++")
+	opts := Options{Size: 12, Width: 1}
+	streamCache.Flush()
+	var oracles [2]*Report
+	for i, arch := range []Architecture{Microcode, ProgFSM} {
+		got, err := Grade(alg, arch, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", arch, err)
+		}
+		want, err := GradeSerial(alg, arch, opts)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", arch, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: batched report differs from its scalar oracle:\ngot  %v\nwant %v", arch, got, want)
+		}
+		oracles[i] = want
 	}
-	if streamsEqual(a, a[:1]) {
-		t.Error("length mismatch compared equal")
-	}
-	b := []march.StreamOp{{Write: true, Addr: 1, Data: 1}, {Addr: 2, Data: 1}}
-	if streamsEqual(a, b) {
-		t.Error("differing streams compared equal")
+	if oracles[0].Overall == oracles[1].Overall {
+		t.Fatalf("microcode and prog-fsm March C++ both cover %v; the test needs architectures whose verdicts differ", oracles[0].Overall)
 	}
 }
 

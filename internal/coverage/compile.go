@@ -1,48 +1,77 @@
 package coverage
 
 import (
+	"fmt"
+
 	"repro/internal/artifact"
 	"repro/internal/faults"
 	"repro/internal/march"
+	"repro/internal/memory"
 )
 
-// Stream compilation and batch planning for the lane engine's compiled
-// replay path.
+// Stream capture, compilation and batch planning for the lane engine.
 //
-// The interpreted replay pays per-op dispatch tax: every captured
-// march.StreamOp re-validates its access, re-runs redirect decode and
-// walks the full fault machinery whether or not the batch contains the
-// faults that need it. The compiled path removes both taxes at their
-// roots: the stream is lowered once per (algorithm, geometry) into a
-// validated faults.CompiledStream (bounds proven at compile time, cell
-// indices pre-resolved), and the universe is packed into batches
-// partitioned by fault-mechanism class, so nearly every batch replays
-// through a specialized kernel that carries only the machinery its
-// class needs (see faults.Kernel). Both artifacts are deterministic per
-// workload and content-addressed in the artifact cache next to the
-// streams and universes they derive from.
+// Each architecture's controller is run once over a fault-free memory
+// and its operation stream is lowered straight into a validated
+// faults.CompiledStream (bounds proven at compile time, cell indices
+// pre-resolved, every read carrying the value the clean run returned).
+// The universe is packed into batches partitioned by fault-mechanism
+// class, so every batch replays through the specialized kernel that
+// carries only the machinery its class needs (see faults.Kernel). Both
+// artifacts are deterministic per workload and content-addressed in
+// the artifact cache next to the universes they derive from.
 
-// compiledKey content-addresses a compiled stream. The architecture is
-// deliberately absent: the batched engine only runs streams verified
-// equal to the canonical reference stream (see captureStream), so every
-// architecture that passes verification shares one compilation.
-type compiledKey struct {
+// streamKey content-addresses a compiled capture. The architecture is
+// part of the key: controllers may issue different access sequences
+// for the same algorithm (a decomposed prog-FSM program is one), and
+// each architecture must be graded against its own stream.
+type streamKey struct {
 	algFP              uint64
+	arch               Architecture
 	size, width, ports int
 }
 
-var compiledCache = artifact.New[compiledKey, *faults.CompiledStream]("uops", 0)
+var streamCache = artifact.New[streamKey, *faults.CompiledStream]("stream", 0)
 
-// cachedCompiledStream lowers a verified captured stream to µops,
-// memoised on the workload key.
-func cachedCompiledStream(alg march.Algorithm, opts Options, stream []march.StreamOp) (*faults.CompiledStream, error) {
-	key := compiledKey{
-		algFP: march.Fingerprint(alg),
-		size:  opts.Size, width: opts.Width, ports: opts.Ports,
+// cachedStream is captureStream memoised on the workload key. Errors
+// are never cached (they may be transient panics of a chaos hook's
+// making — the artifact cache drops failed builds).
+func cachedStream(alg march.Algorithm, arch Architecture, opts Options) (*faults.CompiledStream, error) {
+	key := streamKey{
+		algFP: march.Fingerprint(alg), arch: arch,
+		size: opts.Size, width: opts.Width, ports: opts.Ports,
 	}
-	return compiledCache.Get(key, func() (*faults.CompiledStream, error) {
-		return compileStream(opts, stream)
+	return streamCache.Get(key, func() (*faults.CompiledStream, error) {
+		return captureStream(alg, arch, opts)
 	})
+}
+
+// captureStream builds the architecture's runner, executes it once over
+// a Recorder-wrapped fault-free memory and compiles the recorded
+// operation stream to µops. Every read records the value the clean
+// memory returned, which is the value the controller's response
+// analyzer expects (a clean run that detects a fail is an error), so
+// the compiled stream is an exact expected-value program for this
+// architecture — see gradeBatched for why replaying it grades every
+// fault exactly as the scalar oracle does.
+func captureStream(alg march.Algorithm, arch Architecture, opts Options) (*faults.CompiledStream, error) {
+	run, err := buildRunner(alg, arch, opts)
+	if err != nil {
+		return nil, err
+	}
+	rec := &march.Recorder{Mem: memory.NewSRAM(opts.Size, opts.Width, opts.Ports)}
+	detected, err := run(rec)
+	if err != nil {
+		return nil, fmt.Errorf("coverage: %s on %s stream capture: %w", alg.Name, arch, err)
+	}
+	if detected {
+		return nil, fmt.Errorf("coverage: %s on %s detected a fail on fault-free memory", alg.Name, arch)
+	}
+	cs, err := compileStream(opts, rec.Ops)
+	if err != nil {
+		return nil, fmt.Errorf("coverage: %s on %s stream compile: %w", alg.Name, arch, err)
+	}
+	return cs, nil
 }
 
 // compileStream lowers march.StreamOps into the flat µop form:

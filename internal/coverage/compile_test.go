@@ -6,15 +6,15 @@ import (
 	"testing"
 
 	"repro/internal/march"
-	"repro/internal/obs"
 )
 
 // TestCompiledReplayMatchesInterpreted is the acceptance property of
 // the compiled replay path: for every architecture and every algorithm
 // in the march library, at the narrowest and widest lane widths and at
-// serial and GOMAXPROCS worker counts, grading with ReplayCompiled must
-// produce a Report byte-identical to ReplayInterpreted — the reference
-// the kernels are validated against.
+// serial and GOMAXPROCS worker counts, grading on the lane engine (the
+// captured stream compiled to µops) must produce a Report
+// byte-identical to the scalar oracle, which executes the full test
+// step by step on one injected memory per fault.
 func TestCompiledReplayMatchesInterpreted(t *testing.T) {
 	names := make([]string, 0, len(march.Library()))
 	for name := range march.Library() {
@@ -24,22 +24,18 @@ func TestCompiledReplayMatchesInterpreted(t *testing.T) {
 	for _, arch := range []Architecture{Reference, Microcode, ProgFSM, Hardwired} {
 		for _, name := range names {
 			alg, _ := march.ByName(name)
+			want, err := GradeSerial(alg, arch, Options{Size: 8})
+			if err != nil {
+				t.Fatalf("%s on %s: oracle: %v", name, arch, err)
+			}
 			for _, lanes := range []int{64, 512} {
-				want, err := Grade(alg, arch, Options{
-					Size: 8, Lanes: lanes, Workers: 1, Replay: ReplayInterpreted,
-				})
-				if err != nil {
-					t.Fatalf("%s on %s lanes=%d: interpreted: %v", name, arch, lanes, err)
-				}
 				for _, workers := range []int{1, 0} {
-					got, err := Grade(alg, arch, Options{
-						Size: 8, Lanes: lanes, Workers: workers, Replay: ReplayCompiled,
-					})
+					got, err := Grade(alg, arch, Options{Size: 8, Lanes: lanes, Workers: workers})
 					if err != nil {
 						t.Fatalf("%s on %s lanes=%d workers=%d: compiled: %v", name, arch, lanes, workers, err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s on %s lanes=%d workers=%d: compiled report differs from interpreted:\ngot  %v\nwant %v",
+						t.Errorf("%s on %s lanes=%d workers=%d: compiled report differs from scalar oracle:\ngot  %v\nwant %v",
 							name, arch, lanes, workers, got, want)
 					}
 					if got.String() != want.String() {
@@ -51,96 +47,78 @@ func TestCompiledReplayMatchesInterpreted(t *testing.T) {
 	}
 }
 
-// TestCompiledReplayResumeQuarantine extends the equivalence property
+// TestCompiledReplayResumeQuarantine extends the oracle equivalence
 // through the resilience machinery: with always-panicking faults
 // spanning several partition batches (quarantine path) and a mid-run
-// checkpoint that a second run resumes from, both replay modes must
-// still converge on byte-identical reports — including resuming a
-// checkpoint written by the *other* mode, since State is
-// replay-agnostic.
+// checkpoint that a second run resumes from, the lane engine and the
+// scalar oracle must converge on byte-identical reports — including
+// resuming a checkpoint written by the *other* engine, since State is
+// engine-agnostic. It runs on microcode and on a decomposed prog-FSM
+// program, whose captured stream differs from the reference stream.
 func TestCompiledReplayResumeQuarantine(t *testing.T) {
-	alg, _ := march.ByName("marchc")
 	targets := map[int]bool{3: true, 63: true, 64: true, 127: true}
 	hook := func(i int) {
 		if targets[i] {
 			panic("chaos: injected fault hook panic")
 		}
 	}
-	run := func(replay Replay, resume *State) (*Report, *State) {
-		var first *State
-		opts := Options{
-			Size: 16, Workers: 1, Replay: replay,
-			FaultHook:       hook,
-			CheckpointEvery: 200,
-			Resume:          resume,
-			Checkpoint: func(s *State) {
-				if first == nil && len(s.Quarantined) > 0 {
-					first = s
-				}
-			},
-		}
-		rep, err := Grade(alg, Microcode, opts)
-		if err != nil {
-			t.Fatalf("replay=%d resume=%v: %v", replay, resume != nil, err)
-		}
-		return rep, first
-	}
-
-	repI, ckI := run(ReplayInterpreted, nil)
-	repC, ckC := run(ReplayCompiled, nil)
-	if len(repI.Quarantined) != len(targets) {
-		t.Fatalf("interpreted run quarantined %d faults, want %d", len(repI.Quarantined), len(targets))
-	}
-	if !reflect.DeepEqual(repC, repI) {
-		t.Errorf("compiled report differs from interpreted under quarantine:\ngot  %v\nwant %v", repC, repI)
-	}
-	if ckI == nil || ckC == nil {
-		t.Fatal("no mid-run checkpoint with quarantine entries was captured")
-	}
-
-	// Resume every (checkpoint origin, replay mode) pairing; all four
-	// must land on the uninterrupted interpreted report.
 	for _, tc := range []struct {
-		name   string
-		replay Replay
-		ck     *State
+		alg  string
+		arch Architecture
 	}{
-		{"interpreted from interpreted ckpt", ReplayInterpreted, ckI},
-		{"compiled from compiled ckpt", ReplayCompiled, ckC},
-		{"compiled from interpreted ckpt", ReplayCompiled, ckI},
-		{"interpreted from compiled ckpt", ReplayInterpreted, ckC},
+		{"marchc", Microcode},
+		{"marchc++", ProgFSM},
 	} {
-		got, _ := run(tc.replay, tc.ck)
-		if !reflect.DeepEqual(got, repI) {
-			t.Errorf("%s: resumed report differs from uninterrupted run", tc.name)
+		alg, _ := march.ByName(tc.alg)
+		run := func(engine Engine, resume *State) (*Report, *State) {
+			var mid *State
+			opts := Options{
+				Size: 16, Workers: 1, Engine: engine,
+				FaultHook:       hook,
+				CheckpointEvery: 200,
+				Resume:          resume,
+				Checkpoint: func(s *State) {
+					if mid == nil && len(s.Quarantined) > 0 && !s.Complete() {
+						mid = s
+					}
+				},
+			}
+			rep, err := Grade(alg, tc.arch, opts)
+			if err != nil {
+				t.Fatalf("%s on %s engine=%d resume=%v: %v", tc.alg, tc.arch, engine, resume != nil, err)
+			}
+			return rep, mid
 		}
-	}
-}
 
-// TestInterpretedReplayPinsNoCompile pins the Options.Replay knob: the
-// interpreted mode must never compile the stream or dispatch a
-// specialized kernel.
-func TestInterpretedReplayPinsNoCompile(t *testing.T) {
-	reg := obs.Enable()
-	defer obs.Disable()
-	alg, _ := march.ByName("marchc")
-	if _, err := Grade(alg, Microcode, Options{Size: 8, Replay: ReplayInterpreted}); err != nil {
-		t.Fatal(err)
-	}
-	if n := reg.Counter("coverage.compiled_streams").Value(); n != 0 {
-		t.Errorf("interpreted replay compiled %d streams, want 0", n)
-	}
-	if n := reg.Counter("coverage.fast_kernel_batches").Value(); n != 0 {
-		t.Errorf("interpreted replay took %d specialized kernel batches, want 0", n)
-	}
-	if reg.Counter("coverage.batches_replayed").Value() == 0 {
-		t.Error("interpreted replay did not use the batched engine")
-	}
-	// A clean grade must replay every batch in-lane: panic retries on
-	// the interpreted path mean it silently degraded to the scalar
-	// engine (correct reports, interpreted-vs-compiled timings bogus).
-	if n := reg.Counter("coverage.panic_retries").Value(); n != 0 {
-		t.Errorf("interpreted replay fell back to %d scalar panic retries, want 0", n)
+		want, ckS := run(EngineScalar, nil)
+		got, ckL := run(EngineAuto, nil)
+		if len(want.Quarantined) != len(targets) {
+			t.Fatalf("%s on %s: oracle quarantined %d faults, want %d", tc.alg, tc.arch, len(want.Quarantined), len(targets))
+		}
+		if !reflect.DeepEqual(got, want) || got.String() != want.String() {
+			t.Errorf("%s on %s: lane report differs from the oracle under quarantine:\ngot  %v\nwant %v", tc.alg, tc.arch, got, want)
+		}
+		if ckS == nil || ckL == nil {
+			t.Fatalf("%s on %s: no mid-run checkpoint with quarantine entries was captured", tc.alg, tc.arch)
+		}
+
+		// Resume every (checkpoint origin, engine) pairing; all four
+		// must land on the uninterrupted oracle report.
+		for _, rc := range []struct {
+			name   string
+			engine Engine
+			ck     *State
+		}{
+			{"lane from lane ckpt", EngineAuto, ckL},
+			{"scalar from scalar ckpt", EngineScalar, ckS},
+			{"lane from scalar ckpt", EngineAuto, ckS},
+			{"scalar from lane ckpt", EngineScalar, ckL},
+		} {
+			got, _ := run(rc.engine, rc.ck)
+			if !reflect.DeepEqual(got, want) || got.String() != want.String() {
+				t.Errorf("%s on %s, %s: resumed report differs from the uninterrupted oracle", tc.alg, tc.arch, rc.name)
+			}
+		}
 	}
 }
 

@@ -2,11 +2,12 @@
 // against the functional fault universe. Two engines exist: the scalar
 // oracle builds a fresh memory per fault, injects it and executes the
 // full test (one complete run per fault); the lane-parallel engine
-// captures the architecture's canonical operation stream once and
-// replays it over 63-fault batches packed into uint64 bit-planes
-// (PPSFP applied to the behavioural memory model). Both produce
-// byte-identical Reports; the lane engine is used automatically
-// whenever the captured stream matches the reference stream.
+// captures the architecture's own operation stream once on a
+// fault-free memory, compiles it to µops and replays it over
+// kind-partitioned fault batches packed into uint64 bit-planes (PPSFP
+// applied to the behavioural memory model). Every architecture grades
+// on the lane engine by default; the scalar oracle exists to check it
+// (GradeSerial), and both produce byte-identical Reports.
 //
 // Grading is hardened against the three failure modes of matrix-scale
 // sweeps: cancellation (GradeContext stops workers at the next fault or
@@ -28,7 +29,6 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/faults"
 	"repro/internal/march"
-	"repro/internal/obs"
 )
 
 // Architecture selects the execution engine.
@@ -58,32 +58,14 @@ func (a Architecture) String() string {
 type Engine uint8
 
 const (
-	// EngineAuto captures the architecture's operation stream on a
-	// fault-free memory and, when it matches the canonical reference
-	// stream, replays it over 63-fault lane batches; otherwise it falls
-	// back to EngineScalar. Reports are byte-identical either way.
+	// EngineAuto (the default) captures the architecture's operation
+	// stream on a fault-free memory, compiles it to µops and replays it
+	// over lane batches of faults. It grades every architecture.
 	EngineAuto Engine = iota
 	// EngineScalar simulates one fault at a time: a fresh injected
 	// memory and one complete test execution per fault — the oracle the
-	// lane engine is checked against.
+	// lane engine is checked against (GradeSerial).
 	EngineScalar
-)
-
-// Replay selects how the batched engine executes the captured stream.
-type Replay uint8
-
-const (
-	// ReplayCompiled (the default) lowers the captured stream once per
-	// (algorithm, geometry) into a validated µop program and replays
-	// batches through capability-gated kernels (faults.Kernel): batches
-	// free of decoder/coupling/latch machinery skip those code paths
-	// entirely. Verdicts are byte-identical to ReplayInterpreted.
-	ReplayCompiled Replay = iota
-	// ReplayInterpreted dispatches each captured march.StreamOp through
-	// the general Write/ReadLanes path — the reference the compiled
-	// kernels are validated against, and the automatic fallback when
-	// compilation fails.
-	ReplayInterpreted
 )
 
 // Options configures a grading run.
@@ -106,7 +88,8 @@ type Options struct {
 	// byte-identical at any worker count.
 	//mbist:fingerprint-exclude verdicts are byte-identical at any worker count
 	Workers int
-	// Engine selects the fault-simulation engine (default EngineAuto).
+	// Engine selects the fault-simulation engine (default EngineAuto,
+	// the lane engine; EngineScalar is the oracle GradeSerial selects).
 	//mbist:fingerprint-exclude engines are validated byte-identical; a throughput knob, not workload identity
 	Engine Engine
 	// Lanes sets the batched engine's logical lane width — how many
@@ -118,12 +101,6 @@ type Options struct {
 	// scalar engine and excluded from Fingerprint.
 	//mbist:fingerprint-exclude lane width only re-partitions batches; verdicts commit in universe order
 	Lanes int
-	// Replay selects the batched engine's stream execution mode
-	// (default ReplayCompiled). Reports are byte-identical in both
-	// modes — this is a throughput/validation knob, ignored by the
-	// scalar engine and excluded from Fingerprint.
-	//mbist:fingerprint-exclude compiled and interpreted replay are validated byte-identical
-	Replay Replay
 
 	// FaultHook, when non-nil, is called with each fault's universe
 	// index immediately before that fault is graded (once per occupied
@@ -239,9 +216,9 @@ type Report struct {
 
 // Grade runs the algorithm against every fault in the universe on the
 // selected architecture, using the engine Options selects (lane-batched
-// stream replay by default, with automatic fallback to the scalar
-// oracle). The Report — including the Missed and Quarantined orderings —
-// is byte-identical across engines and worker counts.
+// replay of the architecture's captured stream by default). The Report
+// — including the Missed and Quarantined orderings — is byte-identical
+// across engines, lane widths and worker counts.
 func Grade(alg march.Algorithm, arch Architecture, opts Options) (*Report, error) {
 	//mbist:exempt ctxflow compatibility wrapper over GradeContext for non-cancellable callers
 	return GradeContext(context.Background(), alg, arch, opts)
@@ -317,22 +294,17 @@ func gradeUniverse(ctx context.Context, alg march.Algorithm, arch Architecture, 
 }
 
 // runEngine grades every unresolved fault with the engine the options
-// select: the lane-batched stream replay when EngineAuto's captured
-// stream matches the reference stream, the scalar oracle otherwise.
+// select: the lane-batched replay of the architecture's compiled
+// capture, or the scalar oracle under EngineScalar.
 func (r *gradeRun) runEngine() error {
-	if r.opts.Engine == EngineAuto {
-		stream, ok, err := cachedCaptureStream(r.alg, r.arch, r.opts)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return r.gradeBatched(stream)
-		}
-		// The captured stream diverged from the reference stream (e.g.
-		// a decomposed prog-FSM program): grade with the scalar oracle.
-		obs.Active().Counter("coverage.stream_fallbacks").Add(1)
+	if r.opts.Engine == EngineScalar {
+		return r.gradeScalar()
 	}
-	return r.gradeScalar()
+	cs, err := cachedStream(r.alg, r.arch, r.opts)
+	if err != nil {
+		return err
+	}
+	return r.gradeBatched(cs)
 }
 
 // String renders the report as an aligned table sorted by fault kind.

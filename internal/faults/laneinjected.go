@@ -80,9 +80,8 @@ type LaneInjected struct {
 	senseLatch  [][]uint64 // [port][bit*np+p] previous sensed planes
 	consecReads []int32    // per cell: consecutive reads since last write
 
-	defLanes    []uint64 // per-plane default-decode scratch, len npCap
-	readVals    []uint64 // per-plane read-result scratch, len npCap
-	replayReads []uint64 // general-kernel read scratch, lazily grown
+	defLanes []uint64 // per-plane default-decode scratch, len npCap
+	readVals []uint64 // per-plane read-result scratch, len npCap
 }
 
 // Mask offsets within the write-path block (stride wStride per slot).

@@ -48,18 +48,20 @@ func (m *LaneInjected) Caps() Caps { return m.caps }
 
 // Kernel identifies which specialized replay loop a batch's
 // capabilities admit. Kernels are exact, not approximate: each one is
-// the general machine with the code paths its excluded capabilities
-// would exercise provably dead, so every kernel produces bit-identical
-// lane verdicts to the general path (asserted by TestReplayKernels*).
+// the full Write/ReadLanes machine with the code paths its excluded
+// capabilities would exercise provably dead, so every kernel produces
+// bit-identical lane verdicts to that machine (asserted by
+// TestReplayKernels*). A batch mixing capabilities no single kernel
+// covers (e.g. decoder and coupling faults) has no kernel: the
+// coverage layer partitions batches by mechanism class so it never
+// builds one.
 type Kernel uint8
 
 const (
-	// KernelGeneral is the catch-all: full Write/ReadLanes semantics.
-	KernelGeneral Kernel = iota
 	// KernelMask handles pure mask faults (SA/TF/WDF/IRF, plus DRF
 	// pause leaks): no redirect decode, no triggers, no dirty tracking,
 	// no read-path state.
-	KernelMask
+	KernelMask Kernel = iota
 	// KernelLatch adds read-path state (SOF/RDF/DRDF) to KernelMask.
 	KernelLatch
 	// KernelCoupling adds write triggers and CFst re-application to
@@ -82,23 +84,24 @@ func (k Kernel) String() string {
 	case KernelAF:
 		return "af"
 	default:
-		return "general"
+		return fmt.Sprintf("kernel(%d)", uint8(k))
 	}
 }
 
-// Kernel selects the cheapest exact kernel for the current batch.
-func (m *LaneInjected) Kernel() Kernel {
+// Kernel selects the cheapest exact kernel for the current batch; ok
+// is false when the batch mixes capabilities no kernel covers.
+func (m *LaneInjected) Kernel() (k Kernel, ok bool) {
 	switch {
 	case m.caps&^CapPause == 0:
-		return KernelMask
+		return KernelMask, true
 	case m.caps&^(CapLatch|CapPause) == 0:
-		return KernelLatch
+		return KernelLatch, true
 	case m.caps&^(CapCoupling|CapState|CapPause) == 0:
-		return KernelCoupling
+		return KernelCoupling, true
 	case m.caps == CapAF:
-		return KernelAF
+		return KernelAF, true
 	default:
-		return KernelGeneral
+		return 0, false
 	}
 }
 
@@ -194,7 +197,8 @@ func (cs *CompiledStream) Geometry() (size, width, ports int) {
 // accumulates per-plane fail masks into fail: bit b of fail[p] is set
 // iff logical lane p*64+b returned a wrong value on some read. It
 // dispatches to the cheapest kernel the batch's capabilities admit and
-// returns which one ran.
+// returns which one ran; a batch mixing capabilities no kernel covers
+// is an error.
 //
 // Replay early-exits once every occupied fault lane has failed (the
 // verdict can no longer change), and errors out if the good machine
@@ -207,12 +211,15 @@ func (m *LaneInjected) Replay(cs *CompiledStream, fail *[MaxPlanes]uint64) (Kern
 		return 0, fmt.Errorf("faults: stream compiled for %dx%d/%d replayed on %dx%d/%d",
 			cs.size, cs.width, cs.ports, m.size, m.width, m.ports)
 	}
+	kern, ok := m.Kernel()
+	if !ok {
+		return 0, fmt.Errorf("faults: batch capabilities %05b mix mechanism classes no replay kernel covers", m.caps)
+	}
 	*fail = [MaxPlanes]uint64{}
 	var occ [MaxPlanes]uint64
 	for p := 0; p < m.np; p++ {
 		occ[p] = m.FaultMaskPlane(p)
 	}
-	kern := m.Kernel()
 	var err error
 	switch kern {
 	case KernelMask:
@@ -221,17 +228,14 @@ func (m *LaneInjected) Replay(cs *CompiledStream, fail *[MaxPlanes]uint64) (Kern
 		err = m.replayLatch(cs.ops, fail, &occ)
 	case KernelCoupling:
 		err = m.replayCoupling(cs.ops, fail, &occ)
-	case KernelAF:
+	default: // KernelAF
 		err = m.replayAF(cs.ops, fail, &occ)
-	default:
-		err = m.replayGeneral(cs.ops, fail, &occ)
 	}
 	return kern, err
 }
 
-// goodLaneErr reports a good-machine misread — the compiled analogue
-// of the interpreted replay's divergence error, and the trigger for
-// the caller's scalar fallback.
+// goodLaneErr reports a good-machine misread: the stream's expected
+// values do not match this memory's fault-free behaviour.
 func goodLaneErr(op *UOp) error {
 	return fmt.Errorf("faults: good machine failed reading port %d addr %d", op.Port, op.Addr)
 }
@@ -621,43 +625,6 @@ func (m *LaneInjected) replayAF(ops []UOp, fail, occ *[MaxPlanes]uint64) error {
 			if replayDone(fail, occ, np) {
 				return nil
 			}
-		}
-	}
-	return nil
-}
-
-// replayGeneral is the catch-all: full Write/ReadLanes/Pause semantics
-// driven by the µop buffer, with the read fused against the expected
-// values (no caller-side result buffer). It differs from the
-// interpreted path only in skipping per-op access validation, which
-// NewCompiledStream already proved.
-//
-//mbist:hotpath
-func (m *LaneInjected) replayGeneral(ops []UOp, fail, occ *[MaxPlanes]uint64) error {
-	np, width := m.np, m.width
-	for oi := range ops {
-		op := &ops[oi]
-		switch op.Kind {
-		case UOpWrite:
-			m.Write(int(op.Port), int(op.Addr), op.Data)
-		case UOpRead:
-			m.replayReads = m.ReadLanes(int(op.Port), int(op.Addr), m.replayReads[:0])
-			s := 0
-			for bit := 0; bit < width; bit++ {
-				exp := -(op.Data >> uint(bit) & 1)
-				for p := 0; p < np; p++ {
-					fail[p] |= m.replayReads[s] ^ exp
-					s++
-				}
-			}
-			if fail[0]&1 != 0 {
-				return goodLaneErr(op)
-			}
-			if replayDone(fail, occ, np) {
-				return nil
-			}
-		default:
-			m.Pause()
 		}
 	}
 	return nil

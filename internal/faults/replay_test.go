@@ -91,9 +91,10 @@ func kernelClass(k Kind) (int, Kernel) {
 
 // TestReplayKernelsMatchInterpreted is the core compiled-replay
 // equivalence property: for every mechanism class (each selecting its
-// specialized kernel) and for mixed batches (the general catch-all),
-// Replay must produce the same per-lane verdicts as the interpreted
-// Write/ReadLanes path, across geometries and plane counts.
+// specialized kernel) Replay must produce the same per-lane verdicts
+// as the interpreted Write/ReadLanes path, across geometries and plane
+// counts. A batch mixing classes has no kernel, so Replay must refuse
+// it rather than replay it inexactly.
 func TestReplayKernelsMatchInterpreted(t *testing.T) {
 	geometries := []struct {
 		size, width, ports int
@@ -105,17 +106,17 @@ func TestReplayKernelsMatchInterpreted(t *testing.T) {
 		universe := Universe(g.size, g.width, UniverseOpts{Ports: g.ports})
 		cs := testStream(t, g.size, g.width, g.ports, int64(g.size*100+g.ports), 300)
 
-		// Per-class batches select their specialized kernel; a whole
-		// universe chunk mixes classes and must fall back to general.
 		byClass := make(map[int][]Fault)
 		wantKernel := make(map[int]Kernel)
+		var mixed []Fault // one fault of every class
 		for _, f := range universe {
 			c, k := kernelClass(f.Kind)
+			if len(byClass[c]) == 0 {
+				mixed = append(mixed, f)
+			}
 			byClass[c] = append(byClass[c], f)
 			wantKernel[c] = k
 		}
-		byClass[4] = universe
-		wantKernel[4] = KernelGeneral
 
 		for _, np := range []int{1, 2, 4} {
 			limit := BatchLimit(np)
@@ -125,9 +126,9 @@ func TestReplayKernelsMatchInterpreted(t *testing.T) {
 					batch := pool[start:end]
 
 					arena := NewLaneInjectedPlanes(g.size, g.width, g.ports, np, batch)
-					if got := arena.Kernel(); got != wantKernel[class] && class != 4 {
-						t.Fatalf("class %d batch: kernel %v, want %v (caps %b)",
-							class, got, wantKernel[class], arena.Caps())
+					if got, ok := arena.Kernel(); !ok || got != wantKernel[class] {
+						t.Fatalf("class %d batch: kernel %v (ok=%v), want %v (caps %b)",
+							class, got, ok, wantKernel[class], arena.Caps())
 					}
 					var fail [MaxPlanes]uint64
 					if _, err := arena.Replay(cs, &fail); err != nil {
@@ -151,6 +152,15 @@ func TestReplayKernelsMatchInterpreted(t *testing.T) {
 					}
 				}
 			}
+
+			arena := NewLaneInjectedPlanes(g.size, g.width, g.ports, np, mixed)
+			if k, ok := arena.Kernel(); ok {
+				t.Fatalf("mixed batch (caps %b) selected kernel %v", arena.Caps(), k)
+			}
+			var fail [MaxPlanes]uint64
+			if _, err := arena.Replay(cs, &fail); err == nil {
+				t.Fatalf("%dx%d/%dp np=%d: mixed batch replayed without error", g.size, g.width, g.ports, np)
+			}
 		}
 	}
 }
@@ -158,10 +168,17 @@ func TestReplayKernelsMatchInterpreted(t *testing.T) {
 // TestReplaySameBatchReset pins the re-injection skip: replaying the
 // identical batch slice on the same arena (the cached-partition hot
 // path) must give verdicts identical to a fresh arena, including when
-// the active plane count shrinks below the arena's capacity.
+// the active plane count shrinks below the arena's capacity. Batches
+// are drawn from the coupling class (the kernel with the most state to
+// reset), since Replay only accepts capability-pure batches.
 func TestReplaySameBatchReset(t *testing.T) {
 	const size, width, ports = 8, 1, 1
-	universe := Universe(size, width, UniverseOpts{})
+	var universe []Fault
+	for _, f := range Universe(size, width, UniverseOpts{}) {
+		if _, k := kernelClass(f.Kind); k == KernelCoupling {
+			universe = append(universe, f)
+		}
+	}
 	cs := testStream(t, size, width, ports, 42, 300)
 
 	arena := NewLaneInjectedPlanes(size, width, ports, MaxPlanes, nil)

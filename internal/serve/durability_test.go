@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coverage"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/sweep"
@@ -105,6 +106,86 @@ func TestJournalRecoveryResumesByteIdentical(t *testing.T) {
 	j3, existing, err := s2.Submit(Request{Kind: "grade", Key: "recover-1", Grade: &GradeRequest{Spec: spec}})
 	if err != nil || !existing || j3.ID != job.ID {
 		t.Fatalf("key replay after restart: job=%v existing=%v err=%v", j3, existing, err)
+	}
+}
+
+// TestJournalRecoveryAcceptsRetiredSpecFields pins journal backward
+// compatibility: an accepted record written while sweep.Spec still
+// carried the "engine" and "replay" knobs must recover (the retired
+// fields are ignored on replay, though a new POST carrying them is
+// refused) and resume from its checkpoint to the byte-identical report.
+func TestJournalRecoveryAcceptsRetiredSpecFields(t *testing.T) {
+	dir := t.TempDir()
+	spec := sweep.Spec{Algs: "marchc", Size: 64, Width: 2}
+	w, err := spec.Workload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := w.Grade(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := w.RenderText(reports)
+
+	// A mid-run checkpoint of the same workload, as the interrupted
+	// server would have journaled it.
+	alg := w.Algs[0]
+	var mid *coverage.State
+	opts := w.Opts
+	opts.Workers, opts.CheckpointEvery = 1, 64
+	opts.Checkpoint = func(st *coverage.State) {
+		if mid == nil && !st.Complete() {
+			mid = st
+		}
+	}
+	if _, err := coverage.GradeContext(context.Background(), alg, w.Arch, opts); err != nil {
+		t.Fatal(err)
+	}
+	if mid == nil {
+		t.Fatal("no mid-run checkpoint captured")
+	}
+
+	j, _, err := resilience.OpenJournal(filepath.Join(dir, jobsJournalName), jobsJournalOwner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []any{
+		json.RawMessage(`{"op":"accepted","id":"job-1","req":{"kind":"grade","grade":` +
+			`{"algs":"marchc","size":64,"width":2,"engine":"scalar","replay":"interpreted"}}}`),
+		jobEntry{Op: opRunning, ID: "job-1", Attempt: 1},
+		jobEntry{Op: opCheckpointed, ID: "job-1", N: 1, States: map[string]*coverage.State{alg.Name: mid}},
+	} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Options{Workers: 1, JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.mu.Lock()
+	job := s.jobs["job-1"]
+	s.mu.Unlock()
+	if job == nil {
+		t.Fatal("job-1 not recovered")
+	}
+	if job.resumeState(alg.Name) == nil {
+		t.Error("recovered job carries no checkpoint state to resume from")
+	}
+	waitFor(t, "recovered job", func() bool { return job.status().State.terminal() })
+	if st := job.status(); st.State != StateDone {
+		t.Fatalf("recovered job ended %s: %s", st.State, st.Error)
+	}
+	job.mu.Lock()
+	got := job.result
+	job.mu.Unlock()
+	if got != want {
+		t.Fatalf("resumed report diverges from uninterrupted run:\n--- resumed\n%s\n--- uninterrupted\n%s", got, want)
 	}
 }
 

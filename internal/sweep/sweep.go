@@ -1,7 +1,7 @@
 // Package sweep is the shared workload plumbing of the coverage
 // drivers. cmd/mbistcov (flags) and cmd/mbistd (JSON requests) resolve
 // the same Spec into the same Workload — one place owns the algorithm
-// list, architecture, engine and lane defaults, so the CLI and the
+// list, architecture, geometry and lane defaults, so the CLI and the
 // service cannot drift, and a service-graded report diffs
 // byte-identical against the CLI's stdout.
 //
@@ -34,9 +34,7 @@ const (
 	DefaultWidth   = 1
 	DefaultPorts   = 1
 	DefaultWorkers = 0
-	DefaultEngine  = "auto"
 	DefaultLanes   = "auto"
-	DefaultReplay  = "compiled"
 )
 
 // Spec is the wire/flag form of one coverage workload. The zero value
@@ -61,13 +59,8 @@ type Spec struct {
 	Ports int `json:"ports,omitempty"`
 	// Workers is the grading worker count (0 = all CPUs, 1 = serial).
 	Workers int `json:"workers,omitempty"`
-	// Engine selects the fault-simulation engine: auto or scalar.
-	Engine string `json:"engine,omitempty"`
 	// Lanes is the lane-engine batch width: auto, 64, 128, 256 or 512.
 	Lanes string `json:"lanes,omitempty"`
-	// Replay selects the lane engine's stream execution: compiled
-	// (µop kernels) or interpreted (per-op reference path).
-	Replay string `json:"replay,omitempty"`
 	// Timeout is the per-run deadline as a Go duration string ("90s",
 	// "5m"); empty means no deadline. A run that hits its deadline stops
 	// at the last graded fault and reports Partial results.
@@ -89,9 +82,7 @@ func (s *Spec) Register(fs *flag.FlagSet) {
 	fs.IntVar(&s.Width, "width", DefaultWidth, "word width in bits")
 	fs.IntVar(&s.Ports, "ports", DefaultPorts, "memory ports")
 	fs.IntVar(&s.Workers, "workers", DefaultWorkers, "concurrent grading workers (0 = all CPUs, 1 = serial)")
-	fs.StringVar(&s.Engine, "engine", DefaultEngine, "fault-simulation engine: auto (lane-parallel stream replay with scalar fallback) or scalar (one fault at a time)")
-	fs.StringVar(&s.Lanes, "lanes", DefaultLanes, "lane-engine batch width: auto, 64, 128, 256 or 512 logical fault lanes (ignored by -engine scalar; reports are byte-identical at every width)")
-	fs.StringVar(&s.Replay, "replay", DefaultReplay, "lane-engine stream execution: compiled (µop kernels) or interpreted (per-op reference path; reports are byte-identical in both modes)")
+	fs.StringVar(&s.Lanes, "lanes", DefaultLanes, "lane-engine batch width: auto, 64, 128, 256 or 512 logical fault lanes (reports are byte-identical at every width)")
 	fs.StringVar(&s.Timeout, "timeout", "", "per-run deadline as a Go duration (e.g. 90s, 5m); empty = none; an expired run reports Partial results (execution policy — excluded from the workload fingerprint)")
 	fs.IntVar(&s.Retries, "retries", 0, "transient-failure retry budget for service jobs: 0 = service default, negative = never retry (execution policy — excluded from the workload fingerprint)")
 }
@@ -154,20 +145,10 @@ func (s Spec) Workload() (*Workload, error) {
 	if s.Ports == 0 {
 		s.Ports = DefaultPorts
 	}
-	if s.Engine == "" {
-		s.Engine = DefaultEngine
-	}
 	if s.Lanes == "" {
 		s.Lanes = DefaultLanes
 	}
-	if s.Replay == "" {
-		s.Replay = DefaultReplay
-	}
 	arch, err := ParseArch(s.Arch)
-	if err != nil {
-		return nil, err
-	}
-	engine, err := ParseEngine(s.Engine)
 	if err != nil {
 		return nil, err
 	}
@@ -175,15 +156,11 @@ func (s Spec) Workload() (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	replay, err := ParseReplay(s.Replay)
-	if err != nil {
-		return nil, err
-	}
 	w := &Workload{
 		Arch: arch,
 		Opts: coverage.Options{
 			Size: s.Size, Width: s.Width, Ports: s.Ports,
-			Workers: s.Workers, Engine: engine, Lanes: lanes, Replay: replay,
+			Workers: s.Workers, Lanes: lanes,
 		},
 	}
 	for _, name := range strings.Split(s.Algs, ",") {
@@ -209,9 +186,9 @@ func (w *Workload) Names() []string {
 // exact workload: a readable architecture/geometry/algorithm summary
 // plus a checksum of the per-algorithm coverage fingerprints (which
 // fold in the universe options and each algorithm's march notation) in
-// grading order. Worker count, engine, lanes and replay mode are
-// excluded — verdicts are byte-identical across all four, so state
-// persisted under one configuration resumes under any other.
+// grading order. Worker count and lane width are excluded — verdicts
+// are byte-identical across both, so state persisted under one
+// configuration resumes under any other.
 func (w *Workload) Fingerprint() string {
 	names := w.Names()
 	fps := make([]string, len(w.Algs))
@@ -262,17 +239,6 @@ func ParseArch(s string) (coverage.Architecture, error) {
 	return 0, fmt.Errorf("unknown architecture %q", s)
 }
 
-// ParseEngine maps an engine name to its coverage constant.
-func ParseEngine(s string) (coverage.Engine, error) {
-	switch s {
-	case "auto":
-		return coverage.EngineAuto, nil
-	case "scalar":
-		return coverage.EngineScalar, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q", s)
-}
-
 // ParseLanes maps a lane-width name to Options.Lanes: "auto" (or
 // empty) defers to the library default, otherwise the value must be a
 // supported logical lane width.
@@ -290,19 +256,6 @@ func ParseLanes(s string) (int, error) {
 		return 512, nil
 	}
 	return 0, fmt.Errorf("unknown lane width %q (want auto, 64, 128, 256 or 512)", s)
-}
-
-// ParseReplay maps a replay-mode name to its coverage constant.
-// "compiled" (or empty) is the default µop-kernel path; "interpreted"
-// pins the per-op reference replay the kernels are validated against.
-func ParseReplay(s string) (coverage.Replay, error) {
-	switch s {
-	case "compiled", "":
-		return coverage.ReplayCompiled, nil
-	case "interpreted":
-		return coverage.ReplayInterpreted, nil
-	}
-	return 0, fmt.Errorf("unknown replay mode %q (want compiled or interpreted)", s)
 }
 
 // Shard is one graded workload slice: shard Shard of Of, with one

@@ -45,7 +45,6 @@ func TestSpecRejectsUnknownNames(t *testing.T) {
 	for _, s := range []Spec{
 		{Algs: "nosuch"},
 		{Arch: "quantum"},
-		{Engine: "warp"},
 		{Lanes: "96"},
 	} {
 		if _, err := s.Workload(); err == nil {
@@ -60,11 +59,10 @@ func TestFingerprintExcludesExecutionKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Workers, engine and lanes must not move the fingerprint: state
+	// Workers and lanes must not move the fingerprint: state
 	// persisted under one configuration resumes under any other.
 	for _, s := range []Spec{
 		{Algs: "marchc", Size: 8, Workers: 7},
-		{Algs: "marchc", Size: 8, Engine: "scalar"},
 		{Algs: "marchc", Size: 8, Lanes: "512"},
 		{Algs: "marchc", Size: 8, Timeout: "90s", Retries: 3},
 	} {

@@ -8,12 +8,11 @@ import (
 	"repro/internal/vet/analysis"
 )
 
-// Fingerprint closes the checkpoint-compatibility loophole the -replay
-// knob exposed: a new field on a workload-options struct silently
-// changes what a run computes without changing the persisted
-// fingerprint, so stale checkpoints and shard files resume under the
-// new semantics (or, inverted, a cosmetic knob gratuitously invalidates
-// them). Every field must therefore be an explicit decision.
+// Fingerprint closes a checkpoint-compatibility loophole: a new field
+// on a workload-options struct silently changes what a run computes
+// without changing the persisted fingerprint, so stale checkpoints and
+// shard files resume under the new semantics (or, inverted, a cosmetic
+// knob gratuitously invalidates them). Every field must therefore be an explicit decision.
 //
 // A struct annotated in its doc comment with
 //

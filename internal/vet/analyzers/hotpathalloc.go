@@ -25,8 +25,8 @@ import (
 //   - calls into package fmt and non-constant string concatenation
 //   - append that grows anything but a caller-supplied buffer (the
 //     first append argument must resolve to a parameter, the receiver
-//     or one of their fields — the scratch-reuse pattern ReadLanes and
-//     replayStream use)
+//     or one of their fields — the scratch-reuse pattern ReadLanes
+//     uses)
 //   - interface boxing: a non-pointer-shaped concrete value passed or
 //     converted to an interface
 //

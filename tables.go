@@ -65,19 +65,6 @@ type CoverageState = coverage.State
 // CoverageFaultVerdict records one quarantined fault in a report.
 type CoverageFaultVerdict = coverage.FaultVerdict
 
-// CoverageEngine selects the fault-simulation engine.
-type CoverageEngine = coverage.Engine
-
-// Coverage engines.
-const (
-	// CoverageEngineAuto uses lane-parallel stream replay when the
-	// architecture's operation stream matches the reference stream,
-	// falling back to the scalar oracle otherwise.
-	CoverageEngineAuto = coverage.EngineAuto
-	// CoverageEngineScalar simulates one fault at a time.
-	CoverageEngineScalar = coverage.EngineScalar
-)
-
 // GradeCoverage runs the algorithm against the functional fault
 // universe on the selected architecture.
 func GradeCoverage(alg Algorithm, arch Architecture, opts CoverageOptions) (*CoverageReport, error) {
