@@ -137,6 +137,13 @@ func replayJournal(path, fingerprint string, data []byte) (payloads []json.RawMe
 			return nil, 0, &CorruptError{Path: path, what: "journal",
 				Reason: fmt.Sprintf("record sequence %d after %d", rec.Seq, seq), kind: ErrCorrupt}
 		}
+		if len(rec.Payload) == 0 {
+			// Append always writes a JSON value; a record without one
+			// would otherwise pass with the CRC of nothing (0).
+			obs.Active().Counter("resilience.journal_corrupt").Add(1)
+			return nil, 0, &CorruptError{Path: path, what: "journal",
+				Reason: fmt.Sprintf("record %d: no payload", rec.Seq), kind: ErrCorrupt}
+		}
 		if got := crc32.ChecksumIEEE(rec.Payload); got != rec.CRC {
 			obs.Active().Counter("resilience.journal_corrupt").Add(1)
 			return nil, 0, &CorruptError{Path: path, what: "journal",

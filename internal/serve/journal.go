@@ -14,9 +14,18 @@
 // without one is re-validated from its stored request, seeded with the
 // union of its checkpointed coverage states, and re-enqueued — grading
 // resumes from the last checkpoint, byte-identical to an uninterrupted
-// run. After replay the journal is compacted (atomic rotate) down to
-// the live view: one accepted record per job plus its terminal record
-// or latest checkpoint.
+// run.
+//
+// Compaction (atomic rotate) rewrites the journal down to the live
+// view: one accepted record per job plus its terminal record or latest
+// checkpoint. It is amortised. At runtime a terminal transition
+// compacts only once the journal exceeds both compactBytes and
+// compactGrowth times the size the last compaction produced, so each
+// live byte is rewritten a constant number of times on average and the
+// file stays under about compactGrowth times the live view. At startup
+// the journal is rotated only when replay found records outside the
+// live view; a restart over an already-compacted journal rewrites
+// nothing.
 package serve
 
 import (
@@ -43,10 +52,18 @@ const jobsJournalOwner = "mbistd-jobs/1"
 // jobsJournalName is the journal's file name inside Options.JournalDir.
 const jobsJournalName = "jobs.journal"
 
-// compactBytes is the journal size past which a terminal transition
-// triggers compaction (checkpoint records dominate growth; the
-// compacted view keeps only the latest per job).
+// compactBytes is the journal size below which a terminal transition
+// never compacts (checkpoint records dominate growth; the compacted
+// view keeps only the latest per job).
 const compactBytes = 1 << 20
+
+// compactGrowth is how many times the last compaction's output the
+// journal must reach before a terminal transition compacts again. The
+// live view only grows (terminal jobs are retained), so rewriting it
+// at geometrically spaced sizes costs O(1) amortised rewrites per
+// journaled byte; compacting on every transition past compactBytes
+// would rewrite and fsync the whole file once per job, under s.mu.
+const compactGrowth = 2
 
 // Journal record ops, in lifecycle order.
 const (
@@ -221,18 +238,83 @@ func (s *Server) openJournal(dir string) ([]*Job, error) {
 	if len(payloads) > 0 {
 		log.Printf("serve: journal %s: replayed %d record(s), %d job(s), %d to resume", path, len(payloads), len(order), len(pending))
 	}
-	// Startup compaction: collapse the history to the live view so the
-	// journal does not grow across restarts.
-	s.compact()
+	// Startup compaction: rotate only when replay found records outside
+	// the live view (running records, superseded checkpoints, repeated
+	// terminal records), which shows as a record count that differs
+	// from the live view's. A restart over a compacted journal leaves
+	// the file untouched; either way it replays to the same store.
+	s.mu.Lock()
+	s.journalMu.Lock()
+	s.compactedSize = j.Size()
+	if view := s.liveView(); len(view) != len(payloads) {
+		s.rotate(view)
+	}
+	s.journalMu.Unlock()
+	s.mu.Unlock()
 	return pending, nil
 }
 
-// compact rewrites the journal to the live view — per job: its
-// accepted record, then its terminal record or its latest checkpoint.
-// Lock order: s.mu -> job.mu -> s.journalMu, matching every other
-// path.
+// journalTerminal journals a terminal transition, then compacts when
+// compactDue. The job must already hold its terminal state in memory
+// (see compact).
+func (s *Server) journalTerminal(e jobEntry) {
+	s.journalAppend(e)
+	s.journalMu.Lock()
+	due := s.compactDue()
+	s.journalMu.Unlock()
+	if due {
+		s.compact()
+	}
+}
+
+// compactDue reports whether the journal has outgrown both compactBytes
+// and compactGrowth times the last compaction's output. The caller
+// holds s.journalMu.
+func (s *Server) compactDue() bool {
+	return s.journal != nil && s.journal.Size() > max(compactBytes, compactGrowth*s.compactedSize)
+}
+
+// compact rewrites the journal to the live view if it is still due
+// once both locks are held (another worker may have just compacted).
+//
+// Lock order: s.mu -> s.journalMu -> job.mu. No path takes s.mu or
+// s.journalMu while holding a job.mu. s.journalMu is held from before
+// the snapshot through the rotate: every transition updates the job in
+// memory before journaling it, so an append that wins the lock is
+// already in the snapshot, and one that loses it lands after the
+// rotate. Snapshotting before taking s.journalMu would let a
+// concurrent done or checkpointed record be written and then erased by
+// the rotate.
 func (s *Server) compact() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.journalMu.Lock()
+	defer s.journalMu.Unlock()
+	if s.compactDue() {
+		s.rotate(s.liveView())
+	}
+}
+
+// rotate replaces the journal with view and records the size it
+// produced. A failed rotate leaves the journal as it was but still
+// moves compactedSize to its current size, so the rewrite is retried
+// after further growth rather than on every transition. The caller
+// holds s.journalMu.
+func (s *Server) rotate(view []any) {
+	if s.beforeRotate != nil {
+		s.beforeRotate()
+	}
+	if err := s.journal.Rotate(view); err != nil {
+		log.Printf("serve: journal compaction: %v", err)
+	}
+	s.compactedSize = s.journal.Size()
+	s.mJournalBytes.Set(s.compactedSize)
+}
+
+// liveView returns the journal payloads that rebuild the job store —
+// per job, in submission order: its accepted record, then its terminal
+// record or its latest checkpoint. The caller holds s.mu.
+func (s *Server) liveView() []any {
 	ids := make([]string, 0, len(s.jobs))
 	for id := range s.jobs {
 		ids = append(ids, id)
@@ -261,26 +343,7 @@ func (s *Server) compact() {
 		}
 		job.mu.Unlock()
 	}
-	s.journalMu.Lock()
-	if s.journal != nil {
-		if err := s.journal.Rotate(payloads); err != nil {
-			log.Printf("serve: journal compaction: %v", err)
-		}
-		s.mJournalBytes.Set(s.journal.Size())
-	}
-	s.journalMu.Unlock()
-	s.mu.Unlock()
-}
-
-// maybeCompact compacts after a terminal transition once the journal
-// outgrows compactBytes.
-func (s *Server) maybeCompact() {
-	s.journalMu.Lock()
-	oversized := s.journal != nil && s.journal.Size() > compactBytes
-	s.journalMu.Unlock()
-	if oversized {
-		s.compact()
-	}
+	return payloads
 }
 
 // jobNum extracts the numeric suffix of "job-N" for ordering.

@@ -126,6 +126,13 @@ type Server struct {
 
 	journal   *resilience.Journal // nil when JournalDir is unset
 	journalMu sync.Mutex
+	// compactedSize is the journal size the last compaction produced
+	// (or the replayed size when startup found nothing to drop).
+	// Guarded by journalMu.
+	compactedSize int64
+	// beforeRotate, when set, runs between compaction's live-view
+	// snapshot and the rotate, with both locks held. Test seam.
+	beforeRotate func()
 
 	queue   chan *Job
 	running atomic.Int64
@@ -307,9 +314,8 @@ func (s *Server) runJob(job *Job) {
 			if job.isExpired() {
 				s.mDeadline.Add(1)
 			}
-			s.journalAppend(jobEntry{Op: opDone, ID: job.ID, Result: text, Expired: job.isExpired()})
+			s.journalTerminal(jobEntry{Op: opDone, ID: job.ID, Result: text, Expired: job.isExpired()})
 			s.mDone.Add(1)
-			s.maybeCompact()
 			return
 		case s.ctx.Err() != nil:
 			// Server shutdown, not a job failure: fail it in memory for
@@ -321,17 +327,15 @@ func (s *Server) runJob(job *Job) {
 			return
 		case job.wasWatchdogKilled():
 			job.fail(fmt.Errorf("watchdog: no checkpoint progress within %v; attempt %d cancelled", s.watchdog, attempt))
-			s.journalAppend(jobEntry{Op: opFailed, ID: job.ID, Attempt: attempt, Error: job.status().Error})
+			s.journalTerminal(jobEntry{Op: opFailed, ID: job.ID, Attempt: attempt, Error: job.status().Error})
 			s.mFailed.Add(1)
-			s.maybeCompact()
 			return
 		case errors.Is(runErr, context.DeadlineExceeded):
 			// A deadline that escaped the run closure uncooked. Retrying
 			// would only expire again; fail with attribution.
 			job.fail(fmt.Errorf("deadline %v exceeded: %w", job.timeout, runErr))
-			s.journalAppend(jobEntry{Op: opFailed, ID: job.ID, Attempt: attempt, Error: job.status().Error})
+			s.journalTerminal(jobEntry{Op: opFailed, ID: job.ID, Attempt: attempt, Error: job.status().Error})
 			s.mFailed.Add(1)
-			s.maybeCompact()
 			return
 		default:
 			// Transient failure: validation happened at submit, so a run
@@ -350,13 +354,12 @@ func (s *Server) runJob(job *Job) {
 			}
 			if _, isPanic := resilience.AsPanic(runErr); isPanic {
 				job.quarantine(runErr)
-				s.journalAppend(jobEntry{Op: opQuarantined, ID: job.ID, Attempt: attempt, Error: job.status().Error})
+				s.journalTerminal(jobEntry{Op: opQuarantined, ID: job.ID, Attempt: attempt, Error: job.status().Error})
 			} else {
 				job.fail(runErr)
-				s.journalAppend(jobEntry{Op: opFailed, ID: job.ID, Attempt: attempt, Error: job.status().Error})
+				s.journalTerminal(jobEntry{Op: opFailed, ID: job.ID, Attempt: attempt, Error: job.status().Error})
 			}
 			s.mFailed.Add(1)
-			s.maybeCompact()
 			return
 		}
 	}
