@@ -31,8 +31,7 @@ type Service struct {
 	URL string
 
 	cmd    *exec.Cmd
-	stderr bytes.Buffer
-	mu     sync.Mutex // guards stderr between the copier and Stderr()
+	stderr lockedBuffer
 
 	waitOnce sync.Once
 	waitDone chan struct{}
@@ -84,36 +83,37 @@ func StartService(opts ServiceOptions) (*Service, error) {
 		cmd:      exec.Command(opts.Binary, args...),
 		waitDone: make(chan struct{}),
 	}
-	stderr, err := s.cmd.StderrPipe()
-	if err != nil {
-		return nil, err
-	}
+	// A non-*os.File Stderr makes os/exec run the copy itself, and
+	// cmd.Wait returns only after that copy has drained the pipe, so
+	// Stderr() after Wait sees every byte the process wrote.
+	s.cmd.Stderr = &s.stderr
 	if err := s.cmd.Start(); err != nil {
 		return nil, fmt.Errorf("chaos: spawn %s: %w", opts.Binary, err)
 	}
-	go func() {
-		buf := make([]byte, 4096)
-		for {
-			n, err := stderr.Read(buf)
-			if n > 0 {
-				s.mu.Lock()
-				s.stderr.Write(buf[:n])
-				s.mu.Unlock()
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
 	return s, nil
 }
 
-// Stderr returns everything the process has written to stderr so far.
-func (s *Service) Stderr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stderr.String()
+// lockedBuffer is a bytes.Buffer safe for the os/exec copier writing
+// while Stderr() reads.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
 }
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// Stderr returns everything the process has written to stderr so far.
+func (s *Service) Stderr() string { return s.stderr.String() }
 
 // Wait blocks until the process exits and returns its exit code. A
 // process killed by a signal (the chaos SIGKILL) reports -1.

@@ -80,6 +80,16 @@ type LaneInjected struct {
 	senseLatch  [][]uint64 // [port][bit*np+p] previous sensed planes
 	consecReads []int32    // per cell: consecutive reads since last write
 
+	// active is a bitset over word addresses: bit a is set iff some
+	// fault of the batch names word a (victim or aggressor cell, decoder
+	// address or redirect target). The replay kernels skip accesses to
+	// every other word; see Replay for why that is exact.
+	active []uint64
+	// latchSeed is replayLatch's per-port index of the last skipped read
+	// whose sensed value has not yet been reseeded into the port's sense
+	// latch, or -1.
+	latchSeed []int32
+
 	defLanes []uint64 // per-plane default-decode scratch, len npCap
 	readVals []uint64 // per-plane read-result scratch, len npCap
 }
@@ -257,6 +267,8 @@ func NewLaneInjectedPlanes(size, width, ports, planes int, batch []Fault) *LaneI
 		afRedir:       make([][]afEntry, size),
 		faults:        batch,
 		consecReads:   make([]int32, size*width),
+		active:        make([]uint64, (size+63)/64),
+		latchSeed:     make([]int32, ports),
 		defLanes:      make([]uint64, planes),
 		readVals:      make([]uint64, planes),
 	}
@@ -338,6 +350,7 @@ func (m *LaneInjected) ResetPlanes(batch []Fault, planes int) {
 	m.hasCFst = false
 	m.hasAF = false
 	m.caps = 0
+	clear(m.active)
 	for p := range m.defLanes {
 		m.defLanes[p] = ^uint64(0)
 	}
@@ -469,7 +482,7 @@ func (m *LaneInjected) inject(f Fault, l int) {
 		m.markDirty(f.Aggressor)
 		m.markDirty(f.Cell)
 	case AFNone, AFMap, AFMulti:
-		if f.Addr < 0 || f.Addr >= m.size {
+		if f.Addr < 0 || f.Addr >= m.size || f.Kind != AFNone && (f.AggAddr < 0 || f.AggAddr >= m.size) {
 			panic("faults: AF address out of range")
 		}
 		if f.Kind == AFNone {
@@ -483,6 +496,30 @@ func (m *LaneInjected) inject(f Fault, l int) {
 	default:
 		panic("faults: unknown fault kind")
 	}
+	// Mark every word the fault names; the switch above has range-checked
+	// them all.
+	switch f.Kind {
+	case AFNone:
+		m.markActive(f.Addr)
+	case AFMap, AFMulti:
+		m.markActive(f.Addr)
+		m.markActive(f.AggAddr)
+	case CFin, CFid, CFst:
+		m.markActive(f.Cell / m.width)
+		m.markActive(f.Aggressor / m.width)
+	default:
+		m.markActive(f.Cell / m.width)
+	}
+}
+
+// markActive adds word addr to the batch's active-word set.
+func (m *LaneInjected) markActive(addr int) { m.active[addr>>6] |= 1 << uint(addr&63) }
+
+// wordActive reports whether word addr is in the active set.
+//
+//mbist:hotpath
+func wordActive(active []uint64, addr int32) bool {
+	return active[addr>>6]>>uint(addr&63)&1 != 0
 }
 
 // Size returns the number of word addresses.

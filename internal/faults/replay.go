@@ -49,9 +49,10 @@ func (m *LaneInjected) Caps() Caps { return m.caps }
 // Kernel identifies which specialized replay loop a batch's
 // capabilities admit. Kernels are exact, not approximate: each one is
 // the full Write/ReadLanes machine with the code paths its excluded
-// capabilities would exercise provably dead, so every kernel produces
+// capabilities would exercise provably dead and the accesses to words
+// no batch fault names skipped (see Replay), so every kernel produces
 // bit-identical lane verdicts to that machine (asserted by
-// TestReplayKernels*). A batch mixing capabilities no single kernel
+// TestReplayKernels* and TestReplayLocality*). A batch mixing capabilities no single kernel
 // covers (e.g. decoder and coupling faults) has no kernel: the
 // coverage layer partitions batches by mechanism class so it never
 // builds one.
@@ -147,7 +148,12 @@ type CompiledStream struct {
 }
 
 // NewCompiledStream validates ops against the geometry and returns the
-// compiled program. The op slice is copied: a CompiledStream never
+// compiled program. Besides bounds, it checks the stream against the
+// fault-free machine: a word array that starts at zero, where every
+// read's Data must equal the last write to its address. Replay skips
+// reads of words no batch fault touches, so this check, not the
+// replayed good-machine lane, is what proves those reads expect the
+// fault-free value. The op slice is copied: a CompiledStream never
 // aliases caller memory, so cached streams are safe to share across
 // grading workers.
 func NewCompiledStream(size, width, ports int, ops []UOp) (*CompiledStream, error) {
@@ -158,6 +164,7 @@ func NewCompiledStream(size, width, ports int, ops []UOp) (*CompiledStream, erro
 	if width < 64 {
 		wordMask = uint64(1)<<uint(width) - 1
 	}
+	good := make([]uint64, size)
 	for i := range ops {
 		op := &ops[i]
 		switch op.Kind {
@@ -178,6 +185,12 @@ func NewCompiledStream(size, width, ports int, ops []UOp) (*CompiledStream, erro
 		}
 		if op.Data&^wordMask != 0 {
 			return nil, fmt.Errorf("faults: µop %d data %#x exceeds %d-bit word", i, op.Data, width)
+		}
+		if op.Kind == UOpWrite {
+			good[op.Addr] = op.Data
+		} else if op.Data != good[op.Addr] {
+			return nil, fmt.Errorf("faults: µop %d expects %#x at port %d addr %d, fault-free memory holds %#x",
+				i, op.Data, op.Port, op.Addr, good[op.Addr])
 		}
 	}
 	cs := &CompiledStream{size: size, width: width, ports: ports, ops: make([]UOp, len(ops))}
@@ -202,8 +215,18 @@ func (cs *CompiledStream) Geometry() (size, width, ports int) {
 //
 // Replay early-exits once every occupied fault lane has failed (the
 // verdict can no longer change), and errors out if the good machine
-// (lane 0) ever misreads — the signal that the stream does not match
-// this geometry's fault-free behaviour.
+// (lane 0) ever misreads on a replayed read.
+//
+// Every kernel replays only the accesses to the batch's active words
+// (those some batch fault names; pauses always run). The pruning is
+// exact: no fault of the batch can change an inactive word in any
+// lane, so a write to one would set every lane to the good value and a
+// read of one returns the good value in every lane, which
+// NewCompiledStream has proved equal to the read's Data. Two pieces of
+// state cross words and are carried explicitly: the SOF sense latch
+// (replayLatch reseeds a port's latch from the last skipped read on
+// that port) and the first CFst application (replayCoupling applies the
+// seeded entries at a skipped write, as the write would have).
 //
 //mbist:hotpath
 func (m *LaneInjected) Replay(cs *CompiledStream, fail *[MaxPlanes]uint64) (Kernel, error) {
@@ -261,8 +284,12 @@ func replayDone(fail, occ *[MaxPlanes]uint64, np int) bool {
 func (m *LaneInjected) replayMask(ops []UOp, fail, occ *[MaxPlanes]uint64) error {
 	np, width, planes := m.np, m.width, m.planes
 	wb, rb := m.wmask.byPort, m.rmask.byPort
+	active := m.active
 	for oi := range ops {
 		op := &ops[oi]
+		if op.Kind != UOpPause && !wordActive(active, op.Addr) {
+			continue
+		}
 		switch op.Kind {
 		case UOpWrite:
 			s := int(op.Cell) * np
@@ -347,8 +374,19 @@ func (m *LaneInjected) replayMask(ops []UOp, fail, occ *[MaxPlanes]uint64) error
 func (m *LaneInjected) replayLatch(ops []UOp, fail, occ *[MaxPlanes]uint64) error {
 	np, width, planes := m.np, m.width, m.planes
 	wb, rb := m.wmask.byPort, m.rmask.byPort
+	active, seed := m.active, m.latchSeed
+	for p := range seed {
+		seed[p] = -1
+	}
 	for oi := range ops {
 		op := &ops[oi]
+		if op.Kind != UOpPause && !wordActive(active, op.Addr) {
+			if op.Kind == UOpRead {
+				// Every lane would sense the good value and latch it.
+				seed[op.Port] = int32(oi)
+			}
+			continue
+		}
 		switch op.Kind {
 		case UOpWrite:
 			cell0 := int(op.Cell)
@@ -387,6 +425,17 @@ func (m *LaneInjected) replayLatch(ops []UOp, fail, occ *[MaxPlanes]uint64) erro
 				rp = rb[op.Port]
 			}
 			sl := m.senseLatch[op.Port]
+			if si := seed[op.Port]; si >= 0 {
+				seed[op.Port] = -1
+				data, li := ops[si].Data, 0
+				for bit := 0; bit < width; bit++ {
+					v := -(data >> uint(bit) & 1)
+					for p := 0; p < np; p++ {
+						sl[li] = v
+						li++
+					}
+				}
+			}
 			li := 0
 			for bit := 0; bit < width; bit++ {
 				cell := cell0 + bit
@@ -448,8 +497,17 @@ func (m *LaneInjected) replayCoupling(ops []UOp, fail, occ *[MaxPlanes]uint64) e
 	np, width, planes := m.np, m.width, m.planes
 	wb, rb := m.wmask.byPort, m.rmask.byPort
 	hasCFst := m.hasCFst
+	active := m.active
 	for oi := range ops {
 		op := &ops[oi]
+		if op.Kind != UOpPause && !wordActive(active, op.Addr) {
+			if op.Kind == UOpWrite && len(m.dirtyList) != 0 {
+				// Only the seeded first CFst application can be
+				// pending here; the skipped write would have run it.
+				m.applyStateCFs()
+			}
+			continue
+		}
 		switch op.Kind {
 		case UOpWrite:
 			cell0 := int(op.Cell)
@@ -570,8 +628,12 @@ func (m *LaneInjected) replayCoupling(ops []UOp, fail, occ *[MaxPlanes]uint64) e
 func (m *LaneInjected) replayAF(ops []UOp, fail, occ *[MaxPlanes]uint64) error {
 	np, width, planes := m.np, m.width, m.planes
 	rv := m.readVals
+	active := m.active
 	for oi := range ops {
 		op := &ops[oi]
+		if op.Kind != UOpPause && !wordActive(active, op.Addr) {
+			continue
+		}
 		switch op.Kind {
 		case UOpWrite:
 			port, addr := int(op.Port), int(op.Addr)
